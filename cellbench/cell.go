@@ -170,31 +170,18 @@ type cell struct {
 	n      *sim.Network
 	events []sim.NetworkEvent
 	pids   int
-	// hs collects the routers' Handle counts and times; nil when the
-	// routers are not wrapped (set-up timing).
+	// hs collects the wrapped routers' Handle counts and times.
 	hs *handleStats
 }
 
-// setupCell runs the set-up half of scenario.Run: topology, link
-// events, engine and network, policy parse and compile, router deploy
-// and attach. With hs non-nil every switch's router is wrapped so its
-// Handle calls are counted and timed. Spans go to tr under parent.
-func setupCell(sc scenario.Scenario, tr *tracer, parent int, hs *handleStats) (*cell, error) {
-	if err := rebuildable(sc); err != nil {
-		return nil, err
-	}
-	sc = filled(sc)
-	c := &cell{sc: sc, hs: hs}
-
-	sp := tr.start("topo.build", parent)
-	g, err := cliutil.BuildTopology(sc.TopoSpec)
-	tr.finish(sp)
-	if err != nil {
-		return nil, err
-	}
-	c.g = g
+// linkEvents resolves a scenario's link events on g as scenario.Run
+// does: links failed at or before time 0 are set down on the graph, the
+// rest become network events.
+func linkEvents(sc scenario.Scenario, g *topo.Graph) ([]sim.NetworkEvent, error) {
+	var events []sim.NetworkEvent
 	for _, ev := range sc.Events {
 		var id topo.LinkID
+		var err error
 		if ev.Link == "" || ev.Link == "auto" {
 			id, err = scenario.AutoFailLink(g)
 		} else {
@@ -211,22 +198,79 @@ func setupCell(sc scenario.Scenario, tr *tracer, parent int, hs *handleStats) (*
 		if ev.Kind == scenario.LinkUp {
 			ne.Kind = sim.EvLinkUp
 		}
-		c.events = append(c.events, ne)
+		events = append(events, ne)
+	}
+	return events, nil
+}
+
+// engineSeed offsets the engine seed per workload kind exactly as
+// scenario.Run does (fct seed+1, cbr seed+5).
+func engineSeed(sc scenario.Scenario) int64 {
+	if sc.Workload.Kind == scenario.WorkloadCBR {
+		return sc.Seed + 5
+	}
+	return sc.Seed + 1
+}
+
+// programSetup runs scenario.Run's set-up through the program's own
+// exported calls, as setup_s times it: Validate, the topology, link
+// events, engine and network, scenario.Deploy and Start. It leaves out
+// what scenario.Run does there through unexported code (fill and event
+// resolution, for which filled and linkEvents stand in) and what the
+// benchmark's cells do not use (trace and metrics recorders, the chaos
+// plan, replay loading).
+func programSetup(sc scenario.Scenario) error {
+	if err := sc.Validate(); err != nil {
+		return err
+	}
+	sc = filled(sc)
+	g, err := cliutil.BuildTopology(sc.TopoSpec)
+	if err != nil {
+		return err
+	}
+	if _, err := linkEvents(sc, g); err != nil {
+		return err
+	}
+	n := sim.NewNetwork(sim.NewEngine(engineSeed(sc)), g, sim.Config{})
+	opts := core.Options{ProbePeriodNs: sc.ProbePeriodNs, ProbePacking: sc.ProbePacking}
+	if _, _, err := scenario.Deploy(n, sc.Scheme, g, sc.Policy, opts, nil, nil, nil); err != nil {
+		return err
+	}
+	if sc.BinNs > 0 {
+		n.RxSeries = stats.NewTimeseries(sc.BinNs)
+	}
+	n.Start()
+	return nil
+}
+
+// setupCell runs the set-up half of scenario.Run for the traced
+// rebuild, with the layers' calls split so each gets its own span:
+// topology, link events, engine and network, policy parse and compile,
+// router deploy and attach. Every switch's router is wrapped so its
+// Handle calls are counted and timed in hs. Spans go to tr under parent.
+func setupCell(sc scenario.Scenario, tr *tracer, parent int, hs *handleStats) (*cell, error) {
+	if err := rebuildable(sc); err != nil {
+		return nil, err
+	}
+	sc = filled(sc)
+	c := &cell{sc: sc, hs: hs}
+
+	sp := tr.start("topo.build", parent)
+	g, err := cliutil.BuildTopology(sc.TopoSpec)
+	tr.finish(sp)
+	if err != nil {
+		return nil, err
+	}
+	c.g = g
+	if c.events, err = linkEvents(sc, g); err != nil {
+		return nil, err
 	}
 
-	// Engine seeds are offset per workload kind exactly as in
-	// scenario.Run (fct seed+1, cbr seed+5).
-	engSeed := sc.Seed + 1
-	if sc.Workload.Kind == scenario.WorkloadCBR {
-		engSeed = sc.Seed + 5
-	}
 	sp = tr.start("sim.network", parent)
-	c.e = sim.NewEngine(engSeed)
+	c.e = sim.NewEngine(engineSeed(sc))
 	c.n = sim.NewNetwork(c.e, g, sim.Config{})
 	tr.finish(sp)
-	if hs != nil {
-		hs.eng = c.e
-	}
+	hs.eng = c.e
 
 	switch sc.Scheme {
 	case scenario.SchemeContra:
@@ -245,19 +289,13 @@ func setupCell(sc scenario.Scenario, tr *tracer, parent int, hs *handleStats) (*
 		c.pids = comp.Stats.Pids
 		sp = tr.start("dataplane.deploy", parent)
 		fleet := dataplane.DeployFleet(c.n, comp)
-		if hs != nil {
-			for _, id := range g.Switches() {
-				c.n.SetRouter(id, &countingRouter{inner: fleet.Router(id), hs: hs})
-			}
+		for _, id := range g.Switches() {
+			c.n.SetRouter(id, &countingRouter{inner: fleet.Router(id), hs: hs})
 		}
 	default:
 		sp = tr.start("baseline.deploy", parent)
 		for _, id := range g.Switches() {
-			var r sim.Router = baseline.NewECMP()
-			if hs != nil {
-				r = &countingRouter{inner: r, hs: hs}
-			}
-			c.n.SetRouter(id, r)
+			c.n.SetRouter(id, &countingRouter{inner: baseline.NewECMP(), hs: hs})
 		}
 	}
 	if sc.BinNs > 0 {

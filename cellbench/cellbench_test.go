@@ -128,6 +128,29 @@ func TestTracedRebuildMatchesScenarioRun(t *testing.T) {
 	}
 }
 
+func TestProgramSetupCoversWorkloads(t *testing.T) {
+	for _, w := range workloads {
+		if w.cells == nil {
+			continue
+		}
+		if err := programSetup(w.cells(1)[0]); err != nil {
+			t.Errorf("%s: %v", w.name, err)
+		}
+	}
+}
+
+func TestQuantile(t *testing.T) {
+	xs := []float64{4, 1, 3, 2, 5}
+	for _, c := range []struct{ p, want float64 }{{0, 1}, {0.1, 1.4}, {0.5, 3}, {1, 5}} {
+		if got := quantile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("quantile(%v, %v) = %v, want %v", xs, c.p, got, c.want)
+		}
+	}
+	if got := median([]float64{1, 2, 3, 4}); got != 2.5 {
+		t.Errorf("median of 1..4 = %v, want 2.5", got)
+	}
+}
+
 func TestModelMetrics(t *testing.T) {
 	got := modelMetrics([]cellModel{
 		{Flows: 10, Completed: 10, P50Ms: 1, P99Ms: 9, PayloadBits: 4e6, MeasuredNs: 1e6, ProbeBytes: 1, FabricBytes: 4},

@@ -10,6 +10,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 	"unsafe"
@@ -21,16 +24,19 @@ import (
 
 // A run of the benchmark is a parent process that starts one child
 // process per measurement: one cell of a batch, or the whole campaign.
-// Each child runs alone in a fresh process, so its peak RSS is its own,
-// and times its set-up only after the measured run. A child reports one
-// JSON line (childOut) on standard output.
+// Each child runs alone in a fresh process, so its peak RSS is its own;
+// it reads that peak right after the measured run and only then times
+// its set-up. A child reports one JSON line (childOut) on standard
+// output.
 
 // childOut is one child's report.
 type childOut struct {
-	WallS   float64   `json:"wall_s"`
-	CPUS    float64   `json:"cpu_s"`
-	AllocMB float64   `json:"alloc_mb"`
-	SetupS  []float64 `json:"setup_s,omitempty"`
+	WallS   float64 `json:"wall_s"`
+	CPUS    float64 `json:"cpu_s"`
+	AllocMB float64 `json:"alloc_mb"`
+	// PeakRSSMB is the process's peak RSS at the end of the measured run.
+	PeakRSSMB float64   `json:"peak_rss_mb,omitempty"`
+	SetupS    []float64 `json:"setup_s,omitempty"`
 	// Digest is the sha256 of the Result JSON (a cell) or of the report
 	// JSON (the campaign); CSVDigest is the campaign CSV's.
 	Digest    string      `json:"digest,omitempty"`
@@ -53,8 +59,13 @@ func childMain(mode string, w benchWorkload, seed int64, cell int, root string, 
 	case "run":
 		out, _, err = runOnce(w, seed, cell, root, nil)
 		if err == nil {
+			out.PeakRSSMB, err = peakRSSMB()
+		}
+		if err == nil {
 			out.SetupS, err = setupTimes(w, seed, cell, root)
 		}
+	case "verify":
+		out, _, err = runOnce(w, seed, cell, root, nil)
 	case "trace":
 		out, err = traceOnce(w, seed, cell, root, spansPath)
 	default:
@@ -98,19 +109,49 @@ func cpuSeconds(ru *syscall.Rusage) float64 {
 	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
 }
 
+// peakRSSMB reads this process's peak resident set size (VmHWM) so far.
+func peakRSSMB() (float64, error) {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, err
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 64)
+			if err != nil {
+				return 0, fmt.Errorf("VmHWM: %w", err)
+			}
+			return kb * 1024 / 1e6, nil
+		}
+	}
+	return 0, fmt.Errorf("no VmHWM in /proc/self/status")
+}
+
+// resultDigest is the sha256 of a Result's JSON.
+func resultDigest(r *scenario.Result) (string, error) {
+	js, err := json.Marshal(r)
+	if err != nil {
+		return "", err
+	}
+	return digest(js), nil
+}
+
 func digest(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// A run child repeats its set-up after the measured run, so set-up
-// samples spread over the whole run: at least minSetups times and for
-// at least setupSpan, at most maxSetups times. The span gives the
-// campaign's sub-millisecond set-up enough samples for a steady median.
+// A run child repeats its set-up after the measured run on each CPU it
+// may use in turn: on each, at least minSetups times and for at least
+// setupSpan, at most maxSetups times. The span gives the campaign's
+// sub-millisecond set-up enough samples for a steady low quantile.
 const (
 	minSetups = 25
 	maxSetups = 1000
 	setupSpan = 100 * time.Millisecond
+	// setupsPerGC bounds the garbage the set-ups leave between
+	// collections to a few tens of MB.
+	setupsPerGC = 16
 )
 
 // clockThreadCPUTime is Linux's CLOCK_THREAD_CPUTIME_ID, which package
@@ -118,37 +159,94 @@ const (
 const clockThreadCPUTime = 3
 
 // setupTimes measures the set-up of a child's cell — everything before
-// simulated time starts: topology, link events, engine and network,
-// policy parse, compile and router deploy — or, for the campaign, spec
-// load and expansion. Each sample is the CPU time of the thread that
-// runs the set-up, which leaves out time the thread waits descheduled:
-// a set-up lasts a millisecond or less, and on a shared host its wall
-// time moves with other processes' load.
+// simulated time starts, through the program's exported calls
+// (programSetup) — or, for the campaign, spec load and expansion. Each
+// sample is the CPU time of the thread that runs the set-up, which
+// leaves out time the thread waits descheduled: a set-up lasts a few
+// milliseconds or less, and on a shared host its wall time moves with
+// other processes' load.
+//
+// The thread is pinned to each allowed CPU in turn. On a virtual
+// machine one CPU can run the same set-up 1.6 times slower than another
+// for minutes, while its sibling thread on the host is busy; a thread
+// left to the scheduler lands on one or the other, so the samples of a
+// whole run could come from the slow one.
 func setupTimes(w benchWorkload, seed int64, cell int, root string) ([]float64, error) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
-	// One collection clears the measured run's garbage. Collecting
-	// before every sample would leave each set-up to run on cold caches,
-	// which spread the campaign's medians by a quarter between runs.
-	runtime.GC()
+	allowed, err := getAffinity()
+	if err != nil {
+		return nil, err
+	}
+	// The child exits soon after; a thread left pinned by a failed
+	// restore would only encode its report.
+	defer func() { _ = setAffinity(allowed) }()
+	// Collections run only between samples, every setupsPerGC set-ups,
+	// so no sample pays for one. Left to the pacer, they hit a share of
+	// the samples that depends on the heap the measured run left, which
+	// moved a child's median set-up by half. Collecting before every
+	// sample would leave each set-up to run on cold caches.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var times []float64
-	start := time.Now()
-	for i := 0; i < maxSetups && (i < minSetups || time.Since(start) < setupSpan); i++ {
-		t0 := threadCPUSeconds()
-		if w.cells == nil {
-			spec, err := campaign.LoadFile(filepath.Join(root, smokeSpec))
-			if err != nil {
-				return nil, err
-			}
-			if _, err := spec.Jobs(); err != nil {
-				return nil, err
-			}
-		} else if _, err := setupCell(w.cells(seed)[cell], nil, 0, nil); err != nil {
+	for _, cpu := range allowed.cpus() {
+		var one cpuSet
+		one.add(cpu)
+		if err := setAffinity(one); err != nil {
 			return nil, err
 		}
-		times = append(times, threadCPUSeconds()-t0)
+		start := time.Now()
+		for i := 0; i < maxSetups && (i < minSetups || time.Since(start) < setupSpan); i++ {
+			if i%setupsPerGC == 0 {
+				runtime.GC()
+			}
+			t0 := threadCPUSeconds()
+			if w.cells == nil {
+				spec, err := campaign.LoadFile(filepath.Join(root, smokeSpec))
+				if err != nil {
+					return nil, err
+				}
+				if _, err := spec.Jobs(); err != nil {
+					return nil, err
+				}
+			} else if err := programSetup(w.cells(seed)[cell]); err != nil {
+				return nil, err
+			}
+			times = append(times, threadCPUSeconds()-t0)
+		}
 	}
 	return times, nil
+}
+
+// cpuSet is a Linux CPU affinity mask (cpu_set_t) of up to 1024 CPUs.
+type cpuSet [16]uint64
+
+func (s *cpuSet) add(cpu int) { s[cpu/64] |= 1 << (cpu % 64) }
+
+func (s *cpuSet) cpus() []int {
+	var out []int
+	for i := 0; i < len(s)*64; i++ {
+		if s[i/64]&(1<<(i%64)) != 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// getAffinity and setAffinity read and set the calling thread's CPU
+// affinity; package syscall has no wrappers for them.
+func getAffinity() (cpuSet, error) {
+	var s cpuSet
+	if _, _, e := syscall.RawSyscall(syscall.SYS_SCHED_GETAFFINITY, 0, unsafe.Sizeof(s), uintptr(unsafe.Pointer(&s))); e != 0 {
+		return s, fmt.Errorf("sched_getaffinity: %w", e)
+	}
+	return s, nil
+}
+
+func setAffinity(s cpuSet) error {
+	if _, _, e := syscall.RawSyscall(syscall.SYS_SCHED_SETAFFINITY, 0, unsafe.Sizeof(s), uintptr(unsafe.Pointer(&s))); e != 0 {
+		return fmt.Errorf("sched_setaffinity: %w", e)
+	}
+	return nil
 }
 
 // threadCPUSeconds reads the calling thread's CPU clock. Unlike
@@ -181,11 +279,9 @@ func runOnce(w benchWorkload, seed int64, cell int, root string, tr *tracer) (ch
 		if err != nil {
 			return out, nil, err
 		}
-		js, err := json.Marshal(res)
-		if err != nil {
+		if out.Digest, err = resultDigest(res); err != nil {
 			return out, nil, err
 		}
-		out.Digest = digest(js)
 		cm, err := modelOf(sc, res)
 		if err != nil {
 			return out, nil, err
@@ -262,7 +358,10 @@ func traceOnce(w benchWorkload, seed int64, cell int, root, spansPath string) (c
 	out.RefWallS = out.WallS
 	if w.cells == nil {
 		campaignLayers(tr, lay, out.WallS)
-		out.RefWallS = lay["campaign.cell_busy_s"]
+		// The campaign ran its cells on two workers sharing the host's
+		// CPUs; the rebuild runs them one at a time. Each cell is run
+		// again alone, untraced, so the overhead compares like with like.
+		out.RefWallS = 0
 	}
 
 	// Rebuild the cells one at a time on one goroutine. An errored cell
@@ -270,6 +369,26 @@ func traceOnce(w benchWorkload, seed int64, cell int, root, spansPath string) (c
 	for _, o := range outcomes {
 		if o.Err != "" {
 			continue
+		}
+		if w.cells == nil {
+			runtime.GC()
+			t0 := time.Now()
+			res, err := scenario.Run(o.Scenario)
+			if err != nil {
+				return out, err
+			}
+			out.RefWallS += time.Since(t0).Seconds()
+			alone, err := resultDigest(res)
+			if err != nil {
+				return out, err
+			}
+			inCampaign, err := resultDigest(o.Result)
+			if err != nil {
+				return out, err
+			}
+			if alone != inCampaign {
+				out.Problems = append(out.Problems, fmt.Sprintf("cell %s: Result digest run alone %s differs from its campaign run's %s", o.Scenario.Name, alone, inCampaign))
+			}
 		}
 		runtime.GC()
 		hs := &handleStats{}
