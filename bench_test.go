@@ -20,8 +20,6 @@ package contra
 import (
 	"fmt"
 	"testing"
-
-	"contra/internal/workload"
 )
 
 // dcPolicy matches cmd/experiments: least-utilized shortest paths.
@@ -79,31 +77,53 @@ func BenchmarkFig10SwitchState(b *testing.B) {
 	}
 }
 
-// benchFCT runs a scaled-down FCT experiment and reports mean FCT.
-func benchFCT(b *testing.B, g *Topology, scheme Scheme, dist *workload.Distribution, load float64, policySrc string, capacity float64) {
+// fctScenario is the scaled-down FCT experiment the FCT benchmarks run.
+func fctScenario(g *Topology, scheme Scheme, policySrc, dist string, load float64) Scenario {
+	return Scenario{
+		Topo: g, Scheme: scheme, Policy: policySrc, Seed: 1,
+		Workload: ScenarioWorkload{
+			Kind: WorkloadFCT, Dist: dist, Load: load,
+			DurationNs: 4_000_000, MaxFlows: 300,
+		},
+	}
+}
+
+// failoverScenario is the scaled-down Figure 14 experiment: the paper's
+// CBR load, the first leaf-spine link failing at 20ms, 35ms in all.
+func failoverScenario(scheme Scheme) Scenario {
+	return Scenario{
+		Topo: PaperDataCenter(), Scheme: scheme, Policy: dcPolicy, Seed: 1,
+		Workload: ScenarioWorkload{Kind: WorkloadCBR, EndNs: 35_000_000},
+		Events:   []ScenarioEvent{{Kind: EventLinkDown, AtNs: 20_000_000, Link: "auto"}},
+	}
+}
+
+// runBench runs sc b.N times and returns the last result.
+func runBench(b *testing.B, sc Scenario) *ScenarioResult {
 	b.Helper()
-	var mean float64
+	var res *ScenarioResult
 	for i := 0; i < b.N; i++ {
-		res, err := RunFCT(FCTConfig{
-			Topo: g, Scheme: scheme, PolicySrc: policySrc,
-			Dist: dist, Load: load, CapacityBps: capacity,
-			DurationNs: 4_000_000, MaxFlows: 300, Seed: 1,
-		})
-		if err != nil {
+		var err error
+		if res, err = RunScenario(sc); err != nil {
 			b.Fatal(err)
 		}
-		mean = res.MeanFCT
 	}
-	b.ReportMetric(mean*1e3, "fct-ms")
+	return res
+}
+
+// benchFCT runs a scaled-down FCT experiment and reports mean FCT.
+func benchFCT(b *testing.B, sc Scenario) {
+	b.Helper()
+	b.ReportMetric(runBench(b, sc).MeanFCT*1e3, "fct-ms")
 }
 
 func BenchmarkFig11FCTSymmetric(b *testing.B) {
 	g := PaperDataCenter()
-	for _, dist := range []*workload.Distribution{workload.WebSearch(), workload.Cache()} {
+	for _, dist := range []string{"websearch", "cache"} {
 		for _, scheme := range []Scheme{SchemeECMP, SchemeContra, SchemeHula} {
 			for _, load := range []float64{0.2, 0.6} {
-				b.Run(fmt.Sprintf("%s-%s-load%.0f", dist.Name, scheme, load*100), func(b *testing.B) {
-					benchFCT(b, g, scheme, dist, load, dcPolicy, 0)
+				b.Run(fmt.Sprintf("%s-%s-load%.0f", dist, scheme, load*100), func(b *testing.B) {
+					benchFCT(b, fctScenario(g, scheme, dcPolicy, dist, load))
 				})
 			}
 		}
@@ -122,7 +142,7 @@ func BenchmarkFig12FCTAsymmetric(b *testing.B) {
 	for _, scheme := range []Scheme{SchemeECMP, SchemeContra, SchemeHula} {
 		for _, load := range []float64{0.2, 0.6} {
 			b.Run(fmt.Sprintf("websearch-%s-load%.0f", scheme, load*100), func(b *testing.B) {
-				benchFCT(b, g, scheme, workload.WebSearch(), load, dcPolicy, 0)
+				benchFCT(b, fctScenario(g, scheme, dcPolicy, "websearch", load))
 			})
 		}
 	}
@@ -132,20 +152,9 @@ func BenchmarkFig13QueueCDF(b *testing.B) {
 	g := asymmetricDC()
 	for _, scheme := range []Scheme{SchemeContra, SchemeECMP} {
 		b.Run(string(scheme), func(b *testing.B) {
-			var p99 float64
-			for i := 0; i < b.N; i++ {
-				res, err := RunFCT(FCTConfig{
-					Topo: g, Scheme: scheme, PolicySrc: dcPolicy,
-					Dist: workload.WebSearch(), Load: 0.6,
-					DurationNs: 4_000_000, MaxFlows: 300, Seed: 1,
-					SampleQueues: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p99 = res.QueueMSS.Quantile(0.99)
-			}
-			b.ReportMetric(p99, "queue-p99-MSS")
+			sc := fctScenario(g, scheme, dcPolicy, "websearch", 0.6)
+			sc.SampleQueues = true
+			b.ReportMetric(runBench(b, sc).QueueMSS.Quantile(0.99), "queue-p99-MSS")
 		})
 	}
 }
@@ -153,18 +162,8 @@ func BenchmarkFig13QueueCDF(b *testing.B) {
 func BenchmarkFig14FailureRecovery(b *testing.B) {
 	for _, scheme := range []Scheme{SchemeContra, SchemeHula} {
 		b.Run(string(scheme), func(b *testing.B) {
-			var rec float64
-			for i := 0; i < b.N; i++ {
-				res, err := RunFailover(FailoverConfig{
-					Topo: PaperDataCenter(), Scheme: scheme, PolicySrc: dcPolicy,
-					FailAtNs: 20_000_000, EndNs: 35_000_000, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rec = float64(res.RecoveryNs) / 1e6
-			}
-			b.ReportMetric(rec, "recovery-ms")
+			res := runBench(b, failoverScenario(scheme))
+			b.ReportMetric(float64(res.RecoveryNs)/1e6, "recovery-ms")
 		})
 	}
 }
@@ -174,7 +173,9 @@ func BenchmarkFig15Abilene(b *testing.B) {
 	for _, scheme := range []Scheme{SchemeSP, SchemeContra, SchemeSpain} {
 		for _, load := range []float64{0.3, 0.6} {
 			b.Run(fmt.Sprintf("%s-load%.0f", scheme, load*100), func(b *testing.B) {
-				benchFCT(b, g, scheme, workload.WebSearch(), load, "minimize(path.util)", 40e9)
+				sc := fctScenario(g, scheme, "minimize(path.util)", "websearch", load)
+				sc.Workload.CapacityBps = 40e9
+				benchFCT(b, sc)
 			})
 		}
 	}
@@ -187,11 +188,7 @@ func BenchmarkFig16Overhead(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
 				run := func(s Scheme) float64 {
-					res, err := RunFCT(FCTConfig{
-						Topo: g, Scheme: s, PolicySrc: dcPolicy,
-						Dist: workload.WebSearch(), Load: 0.6,
-						DurationNs: 4_000_000, MaxFlows: 300, Seed: 1,
-					})
+					res, err := RunScenario(fctScenario(g, s, dcPolicy, "websearch", 0.6))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -215,22 +212,10 @@ func BenchmarkLoopTraffic(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			var frac float64
-			for i := 0; i < b.N; i++ {
-				res, err := RunFCT(FCTConfig{
-					Topo: c.topo, Scheme: SchemeContra,
-					PolicySrc: "minimize(path.util)",
-					Dist:      workload.WebSearch(), Load: 0.6,
-					CapacityBps: c.capacity,
-					DurationNs:  4_000_000, MaxFlows: 300, Seed: 1,
-					TrackLoops: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				frac = res.LoopedFrac
-			}
-			b.ReportMetric(frac*100, "looped-%")
+			sc := fctScenario(c.topo, SchemeContra, "minimize(path.util)", "websearch", 0.6)
+			sc.Workload.CapacityBps = c.capacity
+			sc.TrackLoops = true
+			b.ReportMetric(runBench(b, sc).LoopedFrac*100, "looped-%")
 		})
 	}
 }
@@ -262,20 +247,9 @@ func BenchmarkAblationProbePeriod(b *testing.B) {
 	g := PaperDataCenter()
 	for _, period := range []int64{64_000, 256_000, 1_024_000} {
 		b.Run(fmt.Sprintf("period%dus", period/1000), func(b *testing.B) {
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				res, err := RunFCT(FCTConfig{
-					Topo: g, Scheme: SchemeContra, PolicySrc: dcPolicy,
-					Dist: workload.WebSearch(), Load: 0.6,
-					DurationNs: 4_000_000, MaxFlows: 300, Seed: 1,
-					ProbePeriodNs: period,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				mean = res.MeanFCT
-			}
-			b.ReportMetric(mean*1e3, "fct-ms")
+			sc := fctScenario(g, SchemeContra, dcPolicy, "websearch", 0.6)
+			sc.ProbePeriodNs = period
+			benchFCT(b, sc)
 		})
 	}
 }
@@ -285,20 +259,9 @@ func BenchmarkAblationFlowletTimeout(b *testing.B) {
 	g := PaperDataCenter()
 	for _, timeout := range []int64{50_000, 200_000, 1_000_000} {
 		b.Run(fmt.Sprintf("flowlet%dus", timeout/1000), func(b *testing.B) {
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				res, err := RunFCT(FCTConfig{
-					Topo: g, Scheme: SchemeContra, PolicySrc: dcPolicy,
-					Dist: workload.WebSearch(), Load: 0.6,
-					DurationNs: 4_000_000, MaxFlows: 300, Seed: 1,
-					FlowletTimeoutNs: timeout,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				mean = res.MeanFCT
-			}
-			b.ReportMetric(mean*1e3, "fct-ms")
+			sc := fctScenario(g, SchemeContra, dcPolicy, "websearch", 0.6)
+			sc.FlowletTimeoutNs = timeout
+			benchFCT(b, sc)
 		})
 	}
 }
@@ -307,20 +270,10 @@ func BenchmarkAblationFlowletTimeout(b *testing.B) {
 func BenchmarkAblationFailureK(b *testing.B) {
 	for _, k := range []int{2, 3, 6} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
-			var rec float64
-			for i := 0; i < b.N; i++ {
-				res, err := RunFailover(FailoverConfig{
-					Topo: PaperDataCenter(), Scheme: SchemeContra,
-					PolicySrc: dcPolicy, FailAtNs: 20_000_000, EndNs: 35_000_000,
-					BinNs:                100_000, // fine bins so k differences resolve
-					FailureDetectPeriods: k, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rec = float64(res.RecoveryNs) / 1e6
-			}
-			b.ReportMetric(rec, "recovery-ms")
+			sc := failoverScenario(SchemeContra)
+			sc.BinNs = 100_000 // fine bins so k differences resolve
+			sc.FailureDetectPeriods = k
+			b.ReportMetric(float64(runBench(b, sc).RecoveryNs)/1e6, "recovery-ms")
 		})
 	}
 }

@@ -22,8 +22,9 @@ import (
 	"strings"
 
 	"contra"
+	"contra/internal/core"
+	"contra/internal/policy"
 	"contra/internal/topo"
-	"contra/internal/workload"
 )
 
 type runCfg struct {
@@ -122,14 +123,12 @@ func fig9(cfg runCfg) (string, error) {
 	fattrees, randoms := sweepTopos(cfg)
 	var b strings.Builder
 	b.WriteString("== Figure 9: compiler scalability (compile time) ==\n")
-	for label, topos := range map[string][]*contra.Topology{
-		"(a) fat-trees": fattrees, "(b) random": randoms,
-	} {
-		rows, err := contra.CompileSweep(topos, contra.StandardPolicies())
+	for i, topos := range [][]*contra.Topology{fattrees, randoms} {
+		rows, err := compileSweep(topos)
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "%s\n%-16s %-8s %-6s %12s %8s\n", label, "topology", "switches", "policy", "compile", "pg-nodes")
+		fmt.Fprintf(&b, "%s\n%-16s %-8s %-6s %12s %8s\n", sweepLabels[i], "topology", "switches", "policy", "compile", "pg-nodes")
 		sortRows(rows)
 		for _, r := range rows {
 			fmt.Fprintf(&b, "%-16s %-8d %-6s %12v %8d\n",
@@ -144,25 +143,55 @@ func fig10(cfg runCfg) (string, error) {
 	fattrees, randoms := sweepTopos(cfg)
 	var b strings.Builder
 	b.WriteString("== Figure 10: switch state (kB) ==\n")
-	for label, topos := range map[string][]*contra.Topology{
-		"(a) fat-trees": fattrees, "(b) random": randoms,
-	} {
-		rows, err := contra.CompileSweep(topos, contra.StandardPolicies())
+	for i, topos := range [][]*contra.Topology{fattrees, randoms} {
+		rows, err := compileSweep(topos)
 		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "%s\n%-16s %-8s %-6s %10s %10s %8s %5s\n",
-			label, "topology", "switches", "policy", "max-kB", "mean-kB", "tagbits", "pids")
+			sweepLabels[i], "topology", "switches", "policy", "max-kB", "mean-kB", "tagbits", "pids")
 		sortRows(rows)
 		for _, r := range rows {
 			fmt.Fprintf(&b, "%-16s %-8d %-6s %10.1f %10.1f %8d %5d\n",
-				r.Topology, r.Switches, r.Policy, r.MaxStateKB, r.MeanStateKB, r.TagBits, r.Pids)
+				r.Topology, r.Switches, r.Policy, float64(r.MaxStateBytes)/1000, r.MeanStateBytes/1000, r.TagBits, r.Pids)
 		}
 	}
 	return b.String(), nil
 }
 
-func sortRows(rows []contra.CompileRow) {
+// sweepLabels names the two topology families sweepTopos returns, in
+// the order Figures 9 and 10 print them.
+var sweepLabels = [...]string{"(a) fat-trees", "(b) random"}
+
+// compileRow is one Figure 9/10 measurement.
+type compileRow struct {
+	Topology string
+	Switches int
+	Policy   string
+	core.Stats
+}
+
+// compileSweep compiles every standard policy (MU/WP/CA) on every
+// topology and records compile time and switch state (Figures 9, 10).
+func compileSweep(topos []*contra.Topology) ([]compileRow, error) {
+	var rows []compileRow
+	for _, g := range topos {
+		for name, gen := range contra.StandardPolicies() {
+			pol, err := policy.Parse(gen(g), policy.ParseOptions{Symbols: g.SortedNames()})
+			if err != nil {
+				return nil, fmt.Errorf("%s on %s: %v", name, g.Name, err)
+			}
+			comp, err := core.Compile(g, pol, core.Options{})
+			if err != nil {
+				return nil, fmt.Errorf("%s on %s: %v", name, g.Name, err)
+			}
+			rows = append(rows, compileRow{Topology: g.Name, Switches: len(g.Switches()), Policy: name, Stats: comp.Stats})
+		}
+	}
+	return rows, nil
+}
+
+func sortRows(rows []compileRow) {
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Switches != rows[j].Switches {
 			return rows[i].Switches < rows[j].Switches
@@ -177,17 +206,24 @@ func sortRows(rows []contra.CompileRow) {
 // least-utilized shortest paths, matching HULA's semantics.
 const dcPolicy = "minimize((path.len, path.util))"
 
-func fctTable(cfg runCfg, g *contra.Topology, schemes []contra.Scheme, dists []string, capacity float64) (string, error) {
-	return fctTablePolicy(cfg, g, schemes, dists, capacity, dcPolicy, nil)
+// fctScenario is the figures' FCT experiment: one scheme on g at a
+// load fraction of the size distribution dist, over the sweep's arrival
+// window and flow cap.
+func fctScenario(cfg runCfg, g *contra.Topology, scheme contra.Scheme, policySrc, dist string, load float64) contra.Scenario {
+	return contra.Scenario{
+		Topo: g, Scheme: scheme, Policy: policySrc, Seed: cfg.seed,
+		Workload: contra.ScenarioWorkload{
+			Kind: contra.WorkloadFCT, Dist: dist, Load: load,
+			DurationNs: cfg.durationNs, MaxFlows: cfg.maxFlows,
+		},
+	}
 }
 
-func fctTablePolicy(cfg runCfg, g *contra.Topology, schemes []contra.Scheme, dists []string, capacity float64, policySrc string, pairs [][2]contra.NodeID) (string, error) {
+// fctTable prints mean FCT per load (rows) and scheme (columns) for
+// each size distribution.
+func fctTable(cfg runCfg, g *contra.Topology, schemes []contra.Scheme, dists []string, capacity float64, policySrc string, pairs [][2]contra.NodeID) (string, error) {
 	var b strings.Builder
 	for _, distName := range dists {
-		d, err := workload.ByName(distName)
-		if err != nil {
-			return "", err
-		}
 		// The cache workload's flows are ~100x smaller than web
 		// search's; the flow cap must scale accordingly or high loads
 		// silently degenerate into short bursts.
@@ -203,11 +239,11 @@ func fctTablePolicy(cfg runCfg, g *contra.Topology, schemes []contra.Scheme, dis
 		for _, load := range cfg.loads {
 			fmt.Fprintf(&b, "%-6.0f", load*100)
 			for _, s := range schemes {
-				res, err := contra.RunFCT(contra.FCTConfig{
-					Topo: g, Scheme: s, PolicySrc: policySrc, Dist: d, Load: load,
-					CapacityBps: capacity, Pairs: pairs,
-					DurationNs: cfg.durationNs, MaxFlows: maxFlows, Seed: cfg.seed,
-				})
+				sc := fctScenario(cfg, g, s, policySrc, distName, load)
+				sc.Workload.CapacityBps = capacity
+				sc.Workload.MaxFlows = maxFlows
+				sc.PairIDs = pairs
+				res, err := contra.RunScenario(sc)
 				if err != nil {
 					return "", err
 				}
@@ -224,7 +260,7 @@ func fig11(cfg runCfg) (string, error) {
 	g := contra.PaperDataCenter()
 	body, err := fctTable(cfg, g,
 		[]contra.Scheme{contra.SchemeECMP, contra.SchemeContra, contra.SchemeHula},
-		[]string{"websearch", "cache"}, 0)
+		[]string{"websearch", "cache"}, 0, dcPolicy, nil)
 	if err != nil {
 		return "", err
 	}
@@ -236,7 +272,7 @@ func fig12(cfg runCfg) (string, error) {
 	g := asymmetricDC()
 	body, err := fctTable(cfg, g,
 		[]contra.Scheme{contra.SchemeECMP, contra.SchemeContra, contra.SchemeHula},
-		[]string{"websearch", "cache"}, 0)
+		[]string{"websearch", "cache"}, 0, dcPolicy, nil)
 	if err != nil {
 		return "", err
 	}
@@ -262,12 +298,9 @@ func fig13(cfg runCfg) (string, error) {
 	}
 	b.WriteString("\n")
 	for _, s := range []contra.Scheme{contra.SchemeContra, contra.SchemeECMP} {
-		res, err := contra.RunFCT(contra.FCTConfig{
-			Topo: g, Scheme: s, PolicySrc: dcPolicy,
-			Dist: workload.WebSearch(), Load: 0.6,
-			DurationNs: cfg.durationNs, MaxFlows: cfg.maxFlows, Seed: cfg.seed,
-			SampleQueues: true,
-		})
+		sc := fctScenario(cfg, g, s, dcPolicy, "websearch", 0.6)
+		sc.SampleQueues = true
+		res, err := contra.RunScenario(sc)
 		if err != nil {
 			return "", err
 		}
@@ -285,8 +318,12 @@ func fig14(cfg runCfg) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Figure 14: throughput around a link failure (UDP 4.25 Gbps) ==\n")
 	for _, s := range []contra.Scheme{contra.SchemeContra, contra.SchemeHula} {
-		res, err := contra.RunFailover(contra.FailoverConfig{
-			Topo: contra.PaperDataCenter(), Scheme: s, PolicySrc: dcPolicy, Seed: cfg.seed,
+		// The CBR workload defaults to the paper's 4.25 Gbps over 80 ms
+		// in 500 us bins; the first edge-fabric link fails at 50 ms.
+		res, err := contra.RunScenario(contra.Scenario{
+			Topo: contra.PaperDataCenter(), Scheme: s, Policy: dcPolicy, Seed: cfg.seed,
+			Workload: contra.ScenarioWorkload{Kind: contra.WorkloadCBR},
+			Events:   []contra.ScenarioEvent{{Kind: contra.EventLinkDown, AtNs: 50_000_000, Link: "auto"}},
 		})
 		if err != nil {
 			return "", err
@@ -319,7 +356,7 @@ func fig15(cfg runCfg) (string, error) {
 	wanCfg.durationNs *= 2
 	// The paper labels this series "Contra (MU)": pure minimum
 	// utilization on the WAN.
-	body, err := fctTablePolicy(wanCfg, g,
+	body, err := fctTable(wanCfg, g,
 		[]contra.Scheme{contra.SchemeSP, contra.SchemeContra, contra.SchemeSpain},
 		[]string{"websearch", "cache"}, 40e9, "minimize(path.util)", pairs)
 	if err != nil {
@@ -335,14 +372,10 @@ func fig16(cfg runCfg) (string, error) {
 	b.WriteString("== Figure 16: fabric traffic normalized to ECMP ==\n")
 	fmt.Fprintf(&b, "%-18s %10s %10s %10s\n", "workload", "ecmp", "hula", "contra")
 	for _, distName := range []string{"websearch", "cache"} {
-		d, _ := workload.ByName(distName)
 		for _, load := range []float64{0.1, 0.6} {
 			var bytes [3]float64
 			for i, s := range []contra.Scheme{contra.SchemeECMP, contra.SchemeHula, contra.SchemeContra} {
-				res, err := contra.RunFCT(contra.FCTConfig{
-					Topo: g, Scheme: s, PolicySrc: dcPolicy, Dist: d, Load: load,
-					DurationNs: cfg.durationNs, MaxFlows: cfg.maxFlows, Seed: cfg.seed,
-				})
+				res, err := contra.RunScenario(fctScenario(cfg, g, s, dcPolicy, distName, load))
 				if err != nil {
 					return "", err
 				}
@@ -372,12 +405,10 @@ func loopStats(cfg runCfg) (string, error) {
 		if c.name == "abilene" {
 			capacity = 40e9
 		}
-		res, err := contra.RunFCT(contra.FCTConfig{
-			Topo: c.g, Scheme: contra.SchemeContra, Dist: workload.WebSearch(),
-			Load: 0.6, CapacityBps: capacity,
-			DurationNs: cfg.durationNs, MaxFlows: cfg.maxFlows, Seed: cfg.seed,
-			TrackLoops: true,
-		})
+		sc := fctScenario(cfg, c.g, contra.SchemeContra, "", "websearch", 0.6)
+		sc.Workload.CapacityBps = capacity
+		sc.TrackLoops = true
+		res, err := contra.RunScenario(sc)
 		if err != nil {
 			return "", err
 		}
@@ -399,12 +430,10 @@ func appendix(cfg runCfg) (string, error) {
 	// longer paths by design, which is workload placement, not
 	// protocol overhead.
 	g := topo.AbileneWithHostsScaled(0, 0.002)
-	run := func(g *contra.Topology, s contra.Scheme, policySrc string, cap float64) (*contra.FCTResult, error) {
-		return contra.RunFCT(contra.FCTConfig{
-			Topo: g, Scheme: s, PolicySrc: policySrc,
-			Dist: workload.WebSearch(), Load: 0.6, CapacityBps: cap,
-			DurationNs: cfg.durationNs, MaxFlows: cfg.maxFlows, Seed: cfg.seed,
-		})
+	run := func(g *contra.Topology, s contra.Scheme, policySrc string, cap float64) (*contra.ScenarioResult, error) {
+		sc := fctScenario(cfg, g, s, policySrc, "websearch", 0.6)
+		sc.Workload.CapacityBps = cap
+		return contra.RunScenario(sc)
 	}
 	ab, err := run(g, contra.SchemeContra, "minimize(path.util)", 40e9)
 	if err != nil {

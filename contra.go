@@ -21,16 +21,15 @@
 //   - the compiler (Compile → *Program: product graph, probe classes,
 //     per-switch tables, P4 source, state accounting),
 //   - a deterministic packet-level simulator standing in for the
-//     paper's ns-3 testbed (NewSimulation, or the experiment runners
-//     RunFCT / RunFailover / CompileSweep used by the benchmark
-//     harness),
+//     paper's ns-3 testbed (NewSimulation for interactive runs),
 //   - the baselines the paper compares against (ECMP, HULA, SPAIN,
 //     shortest-path) selectable by Scheme, and
 //   - a declarative scenario engine (RunScenario) with timed event
 //     scripts — failures, recoveries, capacity degradations, traffic
 //     surges — plus a parallel campaign runner (RunCampaign) that
 //     sweeps scenario matrices and aggregates results
-//     deterministically.
+//     deterministically. Every evaluation figure, benchmark and
+//     example runs through it.
 package contra
 
 import (
@@ -40,7 +39,6 @@ import (
 
 	"contra/internal/campaign"
 	"contra/internal/core"
-	"contra/internal/exp"
 	"contra/internal/policy"
 	"contra/internal/scenario"
 	"contra/internal/topo"
@@ -128,6 +126,25 @@ var (
 	Failover = policy.Failover
 )
 
+// StandardPolicies returns the MU / WP / CA policy generators of the
+// scalability experiments (§6.2, Figures 9 and 10): minimum
+// utilization, a three-waypoint policy, and the non-isotonic
+// congestion-aware policy.
+func StandardPolicies() map[string]func(*Topology) string {
+	return map[string]func(*Topology) string{
+		"MU": func(*Topology) string { return "minimize(path.util)" },
+		"WP": func(g *Topology) string {
+			names := g.SortedNames()
+			k := len(names) / 2
+			w1, w2, w3 := names[k], names[k/2], names[len(names)-1]
+			return fmt.Sprintf("minimize(if .* (%s + %s + %s) .* then path.util else inf)", w1, w2, w3)
+		},
+		"CA": func(*Topology) string {
+			return "minimize(if path.util < .8 then (1, 0, path.util) else (2, path.len, path.util))"
+		},
+	}
+}
+
 // Option tunes compilation.
 type Option func(*core.Options)
 
@@ -213,30 +230,16 @@ func (p *Program) ProbeClasses() int { return p.compiled.Stats.Pids }
 // TagBits returns the packet-header bits used by the minimized tag.
 func (p *Program) TagBits() int { return p.compiled.Stats.TagBits }
 
-// Experiment harness re-exports: the same runners drive the benchmark
-// suite, the CLI driver, and downstream use.
-type (
-	// Scheme selects a routing system: contra, ecmp, hula, spain, sp.
-	Scheme = exp.Scheme
-	// FCTConfig drives a flow-completion-time experiment.
-	FCTConfig = exp.FCTConfig
-	// FCTResult summarizes one FCT run.
-	FCTResult = exp.FCTResult
-	// FailoverConfig drives the link-failure experiment (Fig 14).
-	FailoverConfig = exp.FailoverConfig
-	// FailoverResult reports the throughput series and recovery time.
-	FailoverResult = exp.FailoverResult
-	// CompileRow is one compiler scalability measurement (Figs 9/10).
-	CompileRow = exp.CompileRow
-)
+// Scheme selects a routing system: contra, ecmp, hula, spain, sp.
+type Scheme = scenario.Scheme
 
 // Scheme constants.
 const (
-	SchemeContra = exp.SchemeContra
-	SchemeECMP   = exp.SchemeECMP
-	SchemeHula   = exp.SchemeHula
-	SchemeSpain  = exp.SchemeSpain
-	SchemeSP     = exp.SchemeSP
+	SchemeContra = scenario.SchemeContra
+	SchemeECMP   = scenario.SchemeECMP
+	SchemeHula   = scenario.SchemeHula
+	SchemeSpain  = scenario.SchemeSpain
+	SchemeSP     = scenario.SchemeSP
 )
 
 // Scenario subsystem re-exports: declarative experiments with timed
@@ -271,6 +274,13 @@ const (
 	EventSurge    = scenario.Surge
 )
 
+// Scenario workload kinds: Poisson flows measured by completion time,
+// and constant-bit-rate streams measured by delivered throughput.
+const (
+	WorkloadFCT = scenario.WorkloadFCT
+	WorkloadCBR = scenario.WorkloadCBR
+)
+
 // RunScenario executes one scenario deterministically.
 func RunScenario(s Scenario) (*ScenarioResult, error) { return scenario.Run(s) }
 
@@ -283,18 +293,3 @@ func LoadCampaign(path string) (*CampaignSpec, error) { return campaign.LoadFile
 func RunCampaign(spec *CampaignSpec, opts CampaignOptions) (*CampaignReport, error) {
 	return campaign.Run(spec, opts)
 }
-
-// RunFCT executes one flow-completion-time experiment.
-func RunFCT(cfg FCTConfig) (*FCTResult, error) { return exp.RunFCT(cfg) }
-
-// RunFailover executes the Figure 14 link-failure experiment.
-func RunFailover(cfg FailoverConfig) (*FailoverResult, error) { return exp.RunFailover(cfg) }
-
-// CompileSweep measures compile time and switch state across
-// topologies and policies (Figures 9 and 10).
-func CompileSweep(topos []*Topology, policies map[string]func(*Topology) string) ([]CompileRow, error) {
-	return exp.CompileSweep(topos, policies)
-}
-
-// StandardPolicies returns the MU/WP/CA generators of §6.2.
-func StandardPolicies() map[string]func(*Topology) string { return exp.StandardPolicies() }

@@ -158,3 +158,13 @@ func TestParseTopologyFacade(t *testing.T) {
 		t.Fatal("unknown symbol should fail")
 	}
 }
+
+func TestStandardPoliciesCompileEverywhere(t *testing.T) {
+	for _, g := range []*Topology{Fattree(4, 0), RandomTopology(30, 4, 3), Abilene()} {
+		for name, gen := range StandardPolicies() {
+			if _, err := CompileSource(gen(g), g); err != nil {
+				t.Fatalf("%s on %s: %v", name, g.Name, err)
+			}
+		}
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"contra"
-	"contra/internal/workload"
 )
 
 func main() {
@@ -24,17 +23,20 @@ func main() {
 		for _, scheme := range []contra.Scheme{
 			contra.SchemeECMP, contra.SchemeContra, contra.SchemeHula,
 		} {
-			res, err := contra.RunFCT(contra.FCTConfig{
+			res, err := contra.RunScenario(contra.Scenario{
 				Topo:   contra.PaperDataCenter(),
 				Scheme: scheme,
 				// Least-utilized shortest paths: HULA's policy,
 				// expressed in Contra's language (paper §6.3).
-				PolicySrc:  "minimize((path.len, path.util))",
-				Dist:       workload.WebSearch(),
-				Load:       load,
-				DurationNs: 10_000_000, // 10ms of arrivals
-				MaxFlows:   800,
-				Seed:       7,
+				Policy: "minimize((path.len, path.util))",
+				Seed:   7,
+				Workload: contra.ScenarioWorkload{
+					Kind:       contra.WorkloadFCT,
+					Dist:       "websearch",
+					Load:       load,
+					DurationNs: 10_000_000, // 10ms of arrivals
+					MaxFlows:   800,
+				},
 			})
 			if err != nil {
 				log.Fatal(err)

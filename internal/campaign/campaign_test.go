@@ -151,6 +151,37 @@ func TestScenarioFailureIsRecordedNotFatal(t *testing.T) {
 	}
 }
 
+// TestHulaOnWANFailsItsCellOnly: HULA needs Clos switch roles, so a
+// campaign pairing it with a WAN records that one cell as failed (naming
+// a role-less switch) while the ECMP cell on the same topology runs.
+func TestHulaOnWANFailsItsCellOnly(t *testing.T) {
+	spec := &Spec{
+		Topos:    []string{"abilene+hosts"},
+		Schemes:  []scenario.Scheme{scenario.SchemeECMP, scenario.SchemeHula},
+		Loads:    []float64{0.2},
+		Workload: scenario.Workload{Dist: "cache", DurationNs: 1_000_000, MaxFlows: 30},
+	}
+	report, err := Run(spec, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Failed() != 1 {
+		t.Fatalf("Failed() = %d, want 1", report.Failed())
+	}
+	for _, o := range report.Outcomes {
+		switch o.Scenario.Scheme {
+		case scenario.SchemeECMP:
+			if o.Err != "" || o.Result == nil || o.Result.Completed == 0 {
+				t.Fatalf("ecmp cell: err %q, result %+v", o.Err, o.Result)
+			}
+		case scenario.SchemeHula:
+			if !strings.Contains(o.Err, `switch "`) || !strings.Contains(o.Err, "hula") {
+				t.Fatalf("hula cell error %q does not name a role-less switch", o.Err)
+			}
+		}
+	}
+}
+
 func TestComparisonTableGroupsSchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -185,9 +185,12 @@ func runCrashFleet(t *testing.T, spec *campaign.Spec, seed int64) (jsonOut, csvO
 // invariants that must hold however the run crashed, expired, and
 // stole: dense sequence numbers, monotone time, exactly one
 // result-accept per cell, result attempt counts equal to the grants
-// the cell actually consumed, concurrent leases within the cap, steal
-// counts within the cap, and expiries/duplicates only where they make
-// sense.
+// the cell actually consumed, concurrent leases within the cap, steals
+// only of a cell the named holder still runs, and expiries/duplicates
+// only where they make sense. MaxLeases caps concurrent leases, not
+// steals over a cell's life: a dead thief frees its slot, so a cell can
+// be stolen again, but each steal past the first MaxLeases-1 must be
+// paid for by an expired lease on that cell.
 func checkJournalInvariants(t *testing.T, raw []byte, totalCells int) {
 	t.Helper()
 	meta, events, err := ReadJournal(bytes.NewReader(raw))
@@ -199,8 +202,10 @@ func checkJournalInvariants(t *testing.T, raw []byte, totalCells int) {
 	}
 	grants := make([]int, totalCells) // grants + steals consumed per cell
 	steals := make([]int, totalCells)
+	expires := make([]int, totalCells)
 	results := make([]int, totalCells)
-	leaseCell := map[int64]int{} // live lease id → cell
+	leaseCell := map[int64]int{}      // live lease id → cell
+	leaseWorker := map[int64]string{} // live lease id → worker
 	liveCount := make([]int, totalCells)
 	var lastSeq, lastT int64
 	for i, ev := range events {
@@ -219,7 +224,17 @@ func checkJournalInvariants(t *testing.T, raw []byte, totalCells int) {
 			if results[ev.Cell] > 0 {
 				t.Fatalf("event %d: cell %d granted after its result", i, ev.Cell)
 			}
+			if ev.Type == EventSteal {
+				held := false
+				for id, cell := range leaseCell {
+					held = held || (cell == ev.Cell && leaseWorker[id] == ev.Holder)
+				}
+				if !held {
+					t.Fatalf("event %d: steal of cell %d from %q, which holds no live lease on it", i, ev.Cell, ev.Holder)
+				}
+			}
 			leaseCell[ev.Lease] = ev.Cell
+			leaseWorker[ev.Lease] = ev.Worker
 			grants[ev.Cell]++
 			liveCount[ev.Cell]++
 			if liveCount[ev.Cell] > meta.MaxLeases {
@@ -241,7 +256,9 @@ func checkJournalInvariants(t *testing.T, raw []byte, totalCells int) {
 				t.Fatalf("event %d: expire of unknown lease %d on cell %d", i, ev.Lease, ev.Cell)
 			}
 			delete(leaseCell, ev.Lease)
+			delete(leaseWorker, ev.Lease)
 			liveCount[ev.Cell]--
+			expires[ev.Cell]++
 		case EventResult:
 			results[ev.Cell]++
 			if results[ev.Cell] > 1 {
@@ -258,6 +275,7 @@ func checkJournalInvariants(t *testing.T, raw []byte, totalCells int) {
 			for id, cell := range leaseCell {
 				if cell == ev.Cell {
 					delete(leaseCell, id)
+					delete(leaseWorker, id)
 				}
 			}
 			liveCount[ev.Cell] = 0
@@ -271,8 +289,8 @@ func checkJournalInvariants(t *testing.T, raw []byte, totalCells int) {
 		if results[cell] != 1 {
 			t.Errorf("cell %d has %d result-accepted events, want exactly 1", cell, results[cell])
 		}
-		if steals[cell] > meta.MaxLeases {
-			t.Errorf("cell %d stolen %d times, cap %d", cell, steals[cell], meta.MaxLeases)
+		if steals[cell] > meta.MaxLeases-1+expires[cell] {
+			t.Errorf("cell %d stolen %d times with %d expiries, cap %d", cell, steals[cell], expires[cell], meta.MaxLeases)
 		}
 	}
 }

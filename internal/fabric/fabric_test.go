@@ -221,6 +221,59 @@ func TestStealNearEndOfCampaign(t *testing.T) {
 	}
 }
 
+// TestStealAfterThiefExpiresStaysUnderConcurrentCap pins what
+// MaxLeasesPerCell promises: a cap on concurrent leases, not on steals
+// over a cell's lifetime. A thief that dies frees its slot, so a cell
+// whose straggler keeps heartbeating can be stolen again, any number of
+// times, but every steal is paid for by an expiry: steals never exceed
+// MaxLeasesPerCell-1 plus the cell's expired leases.
+func TestStealAfterThiefExpiresStaysUnderConcurrentCap(t *testing.T) {
+	const (
+		ttl        = 20 * time.Second
+		stealAfter = 4 * time.Second
+		maxLeases  = 2
+	)
+	clk := newFakeClock()
+	c, _ := newTestCoordinator(t, Options{LeaseTTL: ttl, StealAfter: stealAfter, MaxLeasesPerCell: maxLeases, Clock: clk.Now})
+	straggler := mustLease(t, c, "w1")
+	for i := 0; i < 3; i++ {
+		g := mustLease(t, c, "w2")
+		if _, err := c.Result("w2", g.LeaseID, fakeRecord(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(stealAfter)
+	thieves := []string{"w3", "w4", "w5"}
+	for i, thief := range thieves {
+		g := mustLease(t, c, thief)
+		if !g.Stolen || g.Index != straggler.Index {
+			t.Fatalf("steal %d = %+v, want stolen cell %d", i+1, g, straggler.Index)
+		}
+		// The cap holds while the thief lives.
+		if g, _ := c.Lease("w6"); g != nil {
+			t.Fatalf("steal %d: third concurrent lease granted: %+v", i+1, g)
+		}
+		// The straggler heartbeats through the thief's TTL; the thief
+		// goes silent and expires, freeing its slot.
+		for d := time.Duration(0); d < ttl; d += HeartbeatInterval(ttl) {
+			clk.Advance(HeartbeatInterval(ttl))
+			if !c.Heartbeat("w1", straggler.LeaseID, nil) {
+				t.Fatal("straggler lease died despite heartbeats")
+			}
+		}
+	}
+	st := c.Status()
+	if st.StolenLeases != len(thieves) || st.ExpiredLeases != len(thieves) {
+		t.Fatalf("stolen %d, expired %d; want %d each", st.StolenLeases, st.ExpiredLeases, len(thieves))
+	}
+	if st.StolenLeases > maxLeases-1+st.ExpiredLeases {
+		t.Fatalf("stolen %d exceeds cap-1 plus expiries (%d)", st.StolenLeases, maxLeases-1+st.ExpiredLeases)
+	}
+	if dup, err := c.Result("w1", straggler.LeaseID, fakeRecord(straggler)); err != nil || dup {
+		t.Fatalf("straggler result: dup=%v err=%v", dup, err)
+	}
+}
+
 // TestDuplicateResultDeliveredTwiceMergesOnce is the fabric-level
 // dedup regression: the same scenario.Key delivered twice reaches the
 // stream once, whatever lease it rides in on.

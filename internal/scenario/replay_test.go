@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,12 +12,15 @@ import (
 	"contra/internal/workload"
 )
 
-// recordThenReplay runs live with recording on, writes the trace, and
-// runs the replay twin (same scenario, workload swapped for the trace
-// kind); both Result JSON encodings must be byte-identical.
+// recordThenReplay runs live with recording and queue sampling on,
+// writes the trace, and runs the replay twin (same scenario, workload
+// swapped for the trace kind). Both Result JSON encodings and the
+// queue-length samples must be identical, and re-recording the replay
+// must reproduce the trace: record→replay→record is a fixpoint.
 func recordThenReplay(t *testing.T, live Scenario) (*Result, *Result) {
 	t.Helper()
 	live.RecordFlows = true
+	live.SampleQueues = true
 	liveRes, err := Run(live)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +33,6 @@ func recordThenReplay(t *testing.T, live Scenario) (*Result, *Result) {
 		t.Fatal(err)
 	}
 	rep := live
-	rep.RecordFlows = false
 	rep.Workload = Workload{Kind: WorkloadTrace, TracePath: path}
 	repRes, err := Run(rep)
 	if err != nil {
@@ -46,7 +49,38 @@ func recordThenReplay(t *testing.T, live Scenario) (*Result, *Result) {
 	if string(a) != string(b) {
 		t.Fatalf("replayed Result differs from live run:\nlive:   %s\nreplay: %s", a, b)
 	}
+	// QueueMSS stays out of the JSON encoding, so compare it directly.
+	lq, rq := liveRes.QueueMSS, repRes.QueueMSS
+	if lq.Count() == 0 || lq.Count() != rq.Count() {
+		t.Fatalf("queue samples: live %d, replay %d", lq.Count(), rq.Count())
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99, 1} {
+		if lq.Quantile(q) != rq.Quantile(q) {
+			t.Fatalf("queue p%g: live %v, replay %v", q*100, lq.Quantile(q), rq.Quantile(q))
+		}
+	}
+	// The re-recorded trace matches the original byte for byte except
+	// meta.key, which names the scenario that recorded it: the replay.
+	if k := repRes.FlowTrace.Meta.Key; k == liveRes.FlowTrace.Meta.Key || !strings.HasPrefix(k, rep.Name+"#") {
+		t.Fatalf("re-recorded key %q, want the replay scenario's own key", k)
+	}
+	if orig, again := traceBytesWithoutKey(t, liveRes.FlowTrace), traceBytesWithoutKey(t, repRes.FlowTrace); orig != again {
+		t.Fatalf("re-recorded replay differs from the original trace:\norig:  %s\nagain: %s", orig, again)
+	}
 	return liveRes, repRes
+}
+
+// traceBytesWithoutKey is a trace's canonical encoding with meta.key
+// blanked.
+func traceBytesWithoutKey(t *testing.T, tr *flowtrace.Trace) string {
+	t.Helper()
+	c := *tr
+	c.Meta.Key = ""
+	var buf bytes.Buffer
+	if err := c.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 func TestRecordReplayFCT(t *testing.T) {

@@ -295,6 +295,13 @@ func Deploy(n *sim.Network, scheme Scheme, g *topo.Graph, policySrc string, opts
 	case SchemeSP:
 		baseline.DeploySP(n)
 	case SchemeHula:
+		// HULA's probes climb and descend Clos tiers; a switch without
+		// an edge/agg/core role would otherwise panic in Attach.
+		for _, id := range g.Switches() {
+			if g.Node(id).Role == topo.RoleNone {
+				return nil, nil, fmt.Errorf("scenario: hula needs a Clos topology with switch roles; switch %q in %s has none", g.Node(id).Name, g.Name)
+			}
+		}
 		routers := baseline.DeployHula(n, baseline.HulaConfig{
 			ProbePeriodNs:    opts.ProbePeriodNs,
 			FlowletTimeoutNs: opts.FlowletTimeoutNs,
@@ -451,28 +458,29 @@ func Run(s Scenario) (*Result, error) {
 		g.SetDown(id, true)
 	}
 
-	// A trace workload resolves and loads its recording up front: the
-	// meta line decides the engine-seed offset, measurement deadline,
-	// and (for CBR recordings) the default bin width before any
+	// A trace workload resolves and loads its recording up front: its
+	// meta kind picks the measurement shape, which decides the
+	// engine-seed offset and the default bin width before any
 	// simulation state exists.
 	var replay *flowtrace.Trace
+	cbr := s.Workload.Kind == WorkloadCBR
 	if s.Workload.Kind == WorkloadTrace {
 		replay, err = loadReplay(&s, g)
 		if err != nil {
 			return nil, err
 		}
-		if replay.Meta.Kind == flowtrace.KindCBR && s.BinNs == 0 {
-			s.BinNs = 500_000
-		}
+		cbr = replay.Meta.Kind == flowtrace.KindCBR
+	}
+	if cbr && s.BinNs == 0 {
+		s.BinNs = 500_000
 	}
 
-	// Engine seeds are offset per workload kind to stay bit-compatible
-	// with the harness this engine replaced (RunFCT used seed+1,
-	// RunFailover seed+5), keeping historical runs reproducible; a
-	// replay adopts its recording's offset so the two runs' event
-	// streams align exactly.
+	// Engine seeds are offset per shape to stay bit-compatible with the
+	// harness this engine replaced (FCT runs used seed+1, failover runs
+	// seed+5), keeping historical runs reproducible; a replay shares its
+	// recording's shape, so the two runs' event streams align exactly.
 	engSeed := s.Seed + 1
-	if s.Workload.Kind == WorkloadCBR || (replay != nil && replay.Meta.Kind == flowtrace.KindCBR) {
+	if cbr {
 		engSeed = s.Seed + 5
 	}
 	e := sim.NewEngine(engSeed)
@@ -539,18 +547,17 @@ func Run(s Scenario) (*Result, error) {
 		Script: s.Script,
 		Seed:   s.Seed,
 	}
-	switch s.Workload.Kind {
-	case WorkloadCBR:
-		err = runCBR(&s, e, n, g, warmup, netEvents, res)
-	case WorkloadCohorts:
-		err = runCohorts(&s, e, n, g, warmup, netEvents, res)
-	case WorkloadTrace:
-		err = runReplay(&s, e, n, g, warmup, netEvents, replay, res)
-	default:
-		err = runFCT(&s, e, n, g, warmup, netEvents, surges, res)
+	offer := func() (*offered, error) { return s.offer(g, warmup, surges, replay) }
+	measure := measureFCT
+	if cbr {
+		measure = measureCBR
 	}
+	o, err := measure(&s, e, n, warmup, netEvents, offer, res)
 	if err != nil {
 		return nil, err
+	}
+	if s.RecordFlows {
+		res.FlowTrace = o.record(&s, g, topoName)
 	}
 
 	n.FoldCounters()
@@ -601,88 +608,34 @@ func Run(s Scenario) (*Result, error) {
 	return res, nil
 }
 
-// runFCT offers the Poisson workload (plus any surges), drains, and
-// fills the FCT statistics. Events inject before the warmup run so a
-// script can disrupt the control plane itself.
-func runFCT(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int64, netEvents []sim.NetworkEvent, surges []Event, res *Result) error {
+// measureFCT is the FCT measurement shape, shared by fct, cohorts and
+// their recorded traces. Events inject before the warmup run so a
+// script can disrupt the control plane itself; the workload is offered
+// after it and drained until every flow completes or the offer's
+// deadline passes.
+func measureFCT(s *Scenario, e *sim.Engine, n *sim.Network, warmup int64, netEvents []sim.NetworkEvent, offer func() (*offered, error), res *Result) (*offered, error) {
 	n.Inject(netEvents...)
 	e.Run(warmup)
-	w := s.Workload
-	capacity := w.CapacityBps
-	if capacity == 0 {
-		capacity = FabricCapacity(g)
-	}
-	senders, receivers := workload.SplitHosts(g)
-	pairs := s.PairIDs
-	if len(pairs) == 0 && len(w.Pairs) > 0 {
-		for _, p := range w.Pairs {
-			a, ok := g.NodeByName(p[0])
-			if !ok {
-				return fmt.Errorf("scenario %q: unknown pair host %q", s.Name, p[0])
-			}
-			b, ok := g.NodeByName(p[1])
-			if !ok {
-				return fmt.Errorf("scenario %q: unknown pair host %q", s.Name, p[1])
-			}
-			pairs = append(pairs, [2]topo.NodeID{a, b})
-		}
-	}
-	dist := w.DistObj
-	if dist == nil {
-		dist = mustDist(w.Dist)
-	}
-	flows := workload.Generate(g, workload.Config{
-		Dist: dist, Senders: senders, Receivers: receivers,
-		Pairs:   pairs,
-		Pattern: w.Pattern, IncastTargets: w.IncastTargets,
-		Load: w.Load, CapacityBps: capacity,
-		StartNs: warmup, DurationNs: w.DurationNs,
-		Seed: s.Seed, MaxFlows: w.MaxFlows,
-	})
-	if len(flows) == 0 {
-		return fmt.Errorf("scenario %q: workload produced no flows (load %.2f)", s.Name, w.Load)
-	}
-	deadline := warmup + w.DurationNs + w.DrainNs
-	// Surge traffic rides on the same host sets with distinct flow-ID
-	// ranges and a seed derived from the base seed and the surge index,
-	// so adding a surge never perturbs the base arrival sequence.
-	for i, ev := range surges {
-		extra := workload.Generate(g, workload.Config{
-			Dist: dist, Senders: senders, Receivers: receivers,
-			Pairs:   pairs,
-			Pattern: w.Pattern, IncastTargets: w.IncastTargets,
-			Load: ev.Load, CapacityBps: capacity,
-			StartNs: ev.AtNs, DurationNs: ev.DurationNs,
-			Seed: s.Seed + 101 + int64(i), MaxFlows: w.MaxFlows,
-			FirstFlowID: uint64(i+1) << 32,
-		})
-		flows = append(flows, extra...)
-		if end := ev.AtNs + ev.DurationNs + w.DrainNs; end > deadline {
-			deadline = end
-		}
+	o, err := offer()
+	if err != nil {
+		return nil, err
 	}
 	var classes *classCollector
 	if s.ClassStats {
 		classes = newClassCollector(s.ElephantBytes)
 		n.FlowDone = classes.add
 	}
-	n.StartFlows(flows)
-
-	if s.SampleQueues {
-		e.Every(warmup, 100_000, n.SampleQueues)
-	}
-
+	startFlows(s, e, n, warmup, o.flows)
 	// Run until all flows complete or the drain budget expires; under
 	// extreme load some flows stay incomplete and the FCT statistics
 	// cover the completed ones, as in testbed practice.
-	for e.Now() < deadline && n.CompletedFlows() < int64(len(flows)) {
+	for e.Now() < o.meta.DeadlineNs && n.CompletedFlows() < int64(len(o.flows)) {
 		e.Run(e.Now() + 10_000_000)
 	}
-
-	res.Dist = dist.Name
-	res.Pattern = w.Pattern
-	res.Load = w.Load
-	res.Flows = len(flows)
+	res.Dist = o.meta.Dist
+	res.Pattern = o.meta.Pattern
+	res.Load = o.meta.Load
+	res.Flows = len(o.flows)
 	res.Completed = n.CompletedFlows()
 	res.MeanFCT = n.FCT.Mean()
 	res.P50FCT = n.FCT.Quantile(0.5)
@@ -691,70 +644,33 @@ func runFCT(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup in
 	if classes != nil {
 		res.Classes = classes.stats()
 	}
-	if s.RecordFlows {
-		recordFlows(s, g, res, flows, flowtrace.Meta{
-			Kind: flowtrace.KindFCT, Dist: dist.Name, Pattern: w.Pattern,
-			Load: w.Load, DeadlineNs: deadline,
-		}, func(f sim.FlowSpec) string {
-			if co := f.ID >> 32; co > 0 {
-				return fmt.Sprintf("surge%d", co)
-			}
-			return "base"
-		})
-	}
-	return nil
+	return o, nil
 }
 
-// runCBR offers the Figure 14 constant-bit-rate workload: every sender
-// streams to a receiver across the fabric until EndNs. Flow starts are
-// scheduled before the event script — the ordering the legacy failover
-// harness used — so historical seeds replay identically.
-func runCBR(s *Scenario, e *sim.Engine, n *sim.Network, g *topo.Graph, warmup int64, netEvents []sim.NetworkEvent, res *Result) error {
-	w := s.Workload
-	senders, receivers := workload.SplitHosts(g)
-	if len(senders) == 0 || len(receivers) == 0 {
-		return fmt.Errorf("scenario %q: cbr workload needs hosts", s.Name)
+// measureCBR is the throughput measurement shape, shared by cbr and its
+// recorded traces. Flow starts are scheduled before the event script —
+// the ordering the original failover harness used — so historical seeds
+// replay identically; the run then goes straight to the offer's end.
+func measureCBR(s *Scenario, e *sim.Engine, n *sim.Network, warmup int64, netEvents []sim.NetworkEvent, offer func() (*offered, error), res *Result) (*offered, error) {
+	o, err := offer()
+	if err != nil {
+		return nil, err
 	}
-	per := w.RateBps / float64(len(senders))
-	// Snap the per-flow packet gap to divide the measurement bin, so
-	// bins hold an integral packet count: otherwise a slow beat between
-	// the CBR period and the bin width shows up as phantom throughput
-	// dips that drown the failure signal.
-	pktBits := float64((sim.MSS + sim.FrameHeader) * 8)
-	gapRaw := pktBits / per * 1e9
-	divisions := int64(float64(s.BinNs)/gapRaw + 0.5)
-	if divisions < 1 {
-		divisions = 1
-	}
-	per = pktBits * float64(divisions) / float64(s.BinNs) * 1e9
-	// Pair each sender with a receiver in a different part of the
-	// fabric (offset by a quarter of the host set) so that every flow
-	// crosses the core and a failed link actually carries traffic.
-	var flows []sim.FlowSpec
-	for i, src := range senders {
-		dst := receivers[(i+len(receivers)/4+1)%len(receivers)]
-		for tries := 0; g.HostEdge(src) == g.HostEdge(dst) && tries < len(receivers); tries++ {
-			dst = receivers[(i+len(receivers)/4+1+tries)%len(receivers)]
-		}
-		flows = append(flows, sim.FlowSpec{
-			ID: uint64(i + 1), Src: src, Dst: dst,
-			RateBps: per, Start: warmup,
-		})
-	}
+	startFlows(s, e, n, warmup, o.flows)
+	n.Inject(netEvents...)
+	e.Run(o.meta.EndNs)
+	res.Flows = len(o.flows)
+	res.RateBps = o.meta.RateBps
+	return o, nil
+}
+
+// startFlows schedules the offered flows and, with SampleQueues, the
+// fabric queue sampler from the end of warmup on.
+func startFlows(s *Scenario, e *sim.Engine, n *sim.Network, warmup int64, flows []sim.FlowSpec) {
 	n.StartFlows(flows)
 	if s.SampleQueues {
 		e.Every(warmup, 100_000, n.SampleQueues)
 	}
-	n.Inject(netEvents...)
-	e.Run(w.EndNs)
-	res.Flows = len(flows)
-	res.RateBps = w.RateBps
-	if s.RecordFlows {
-		recordFlows(s, g, res, flows, flowtrace.Meta{
-			Kind: flowtrace.KindCBR, RateBps: w.RateBps, EndNs: w.EndNs,
-		}, func(sim.FlowSpec) string { return "cbr" })
-	}
-	return nil
 }
 
 // RecoveryWindow is the failover analysis of one disruption instant:

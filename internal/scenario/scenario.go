@@ -6,9 +6,9 @@
 //
 // Scenarios are plain data: construct them in Go, or decode them from
 // the JSON spec format used by campaign files. The same engine backs
-// the legacy exp.RunFCT / exp.RunFailover entry points and the
-// contracamp campaign runner, so every experiment in the repo flows
-// through one code path.
+// the contra facade (RunScenario), the figure driver, the benchmarks
+// and examples, and the contracamp campaign runner, so every
+// experiment in the repo flows through one code path.
 package scenario
 
 import (
